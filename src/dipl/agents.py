@@ -14,12 +14,12 @@ AttemptResult / DemoReceived events from the harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import classifiers, when_learning
-from .core import BUTTON, Demo, PRESS_BUTTON, SAI, TutorState, UPDATE_FIELD
+from .core import BUTTON, Demo, PRESS_BUTTON, SAI, TutorState
 from .how_learning import Composition, evaluate
 from .when_learning import (
     ABSOLUTE,
@@ -50,8 +50,7 @@ class Skill:
     how: Composition | None  # None for button skills
     arity: int
     where: WherePart
-    when: WhenPart
-    created: int
+    when: WhenPart | None  # None for HowLhsAgent, whose one tree decides
 
 
 @dataclass
@@ -150,7 +149,7 @@ class DiplAgent:
         if not cands:
             return DEMO_REQUEST
         conf, skill, _, binding, sai, fv = min(
-            cands, key=lambda t: (-t[0], t[1].created, t[2])
+            cands, key=lambda t: (-t[0], t[1].sid, t[2])
         )
         return Proposal(sai, skill, binding, fv)
 
@@ -162,7 +161,6 @@ class DiplAgent:
             arity=arity,
             where=WherePart(arity),
             when=WhenPart(self.mode),
-            created=len(self.skills),
         )
         self.skills.append(skill)
         return skill
@@ -210,7 +208,9 @@ class HowLhsAgent:
         self.funcs = funcs
         self.feature_funcs = feature_funcs
         self.max_depth = max_depth
-        self.retrain_every = max(1, retrain_every)
+        if retrain_every < 1:
+            raise ValueError("retrain_every must be >= 1")
+        self.retrain_every = retrain_every
         self.skills: list[Skill] = []
         self._by_label: dict[str, tuple[Skill, Binding]] = {}
         self.encoder = classifiers.Encoder()
@@ -228,15 +228,14 @@ class HowLhsAgent:
             how=howpart,
             arity=arity,
             where=WherePart(arity),
-            when=WhenPart(ABSOLUTE),
-            created=len(self.skills),
+            when=None,
         )
         self.skills.append(skill)
         return skill
 
-    def _refit(self, force: bool = False):
+    def _refit(self):
         self._pending += 1
-        if force or self._pending >= self.retrain_every or self.tree is None:
+        if self._pending >= self.retrain_every or self.tree is None:
             self.tree = classifiers.fit_encoded(self.encoder)
             self._pending = 0
 
@@ -369,7 +368,9 @@ class DtDemosAgent:
         self.actions = action_space
         self.action_index = {sai: i for i, sai in enumerate(action_space)}
         self.schema = schema
-        self.retrain_every = max(1, retrain_every)
+        if retrain_every < 1:
+            raise ValueError("retrain_every must be >= 1")
+        self.retrain_every = retrain_every
         self.rows: list[list[int]] = []
         self.labels: list[str] = []
         self.tree: classifiers.DecisionTree | None = None

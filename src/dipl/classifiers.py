@@ -8,11 +8,14 @@ mean-gain eligibility guard), with ties broken by lexicographically
 smallest feature name, so the fitted tree is a pure function of the
 dataset (example order never matters).
 
-Two fit paths produce the same tree structure:
-  * dt_fit        - general categorical data, dense integer codes
-  * dt_fit_binary - all-binary features given as a scipy CSR matrix; used
-                    for large one-hot state encodings where a dense scan
-                    would be too slow
+One builder, `_grow`, fits every tree.  It scores all candidate splits of
+a node from one count table of (feature, value) columns by labels, and
+gets each feature's missing branch as the parent count minus its valued
+branches.  Two entry points feed it:
+  * fit_encoded   - categorical rows from an `Encoder` (`dt_fit` wraps it)
+  * dt_fit_binary - all-binary features as a scipy CSR matrix, children
+                    keyed "0"/"1" ("0" is the missing branch); CSR because a
+                    one-hot state is a few "on" slots out of thousands
 """
 
 from __future__ import annotations
@@ -103,11 +106,9 @@ class Encoder:
         row = [0] * len(self.feature_names)
         for name, value in fv.items():
             j = self._feature(name)
-            if j < len(row):
-                row[j] = self._code(j, value)
-            else:
+            if j >= len(row):
                 row.extend([0] * (j + 1 - len(row)))
-                row[j] = self._code(j, value)
+            row[j] = self._code(j, value)
         self.rows.append(row)
         self.labels.append(label)
 
@@ -116,10 +117,14 @@ class Encoder:
         X = np.zeros((n, f), dtype=np.int32)
         for i, row in enumerate(self.rows):
             X[i, : len(row)] = row
-        label_names = sorted(set(self.labels))
-        label_code = {name: c for c, name in enumerate(label_names)}
-        y = np.array([label_code[l] for l in self.labels], dtype=np.int32)
+        y, label_names = _label_codes(self.labels)
         return X, y, label_names
+
+
+def _label_codes(labels: list[str]) -> tuple[np.ndarray, list[str]]:
+    names = sorted(set(labels))
+    code = {name: c for c, name in enumerate(names)}
+    return np.array([code[l] for l in labels], dtype=np.int32), names
 
 
 def _select_split(gains: dict, split_infos: dict, order) -> int | None:
@@ -146,63 +151,108 @@ def _select_split(gains: dict, split_infos: dict, order) -> int | None:
     return best_j
 
 
-def _counts_dict(y: np.ndarray, label_names: list[str]) -> dict[str, int]:
-    bc = np.bincount(y, minlength=len(label_names))
-    return {label_names[c]: int(bc[c]) for c in range(len(label_names)) if bc[c]}
+@dataclass
+class _Columns:
+    """One fit's data: rows hold (feature, value) columns, at most one per
+    feature, and row erow[i] holds column ecol[i].  Features are numbered
+    in name order (a lower number wins a tie) and columns feature by
+    feature.  A split reorders the node's slice of `rows` and of the
+    entries in place, so each child's slice is contiguous.
+    """
+
+    y: np.ndarray  # label code of each row
+    label_names: list[str]
+    feature_names: list[str]  # by feature number
+    col_feature: np.ndarray  # feature number of each column, ascending
+    col_value: list[str]  # child key of each column
+    missing: str | None  # child key of the no-column branch; None: missing_child
+    erow: np.ndarray
+    ecol: np.ndarray
+
+    def __post_init__(self):
+        self.rows = np.arange(len(self.y), dtype=np.int32)
+        self.branch = np.empty(len(self.y), dtype=np.int32)  # scratch, per row
 
 
-def _build_dense(X, y, feature_names, value_names, label_names, order) -> Node:
-    counts = _counts_dict(y, label_names)
-    label, conf = _majority(counts)
-    n = len(y)
-    parent_bc = np.bincount(y, minlength=len(label_names)).astype(np.float64)
-    parent_term = n - (parent_bc ** 2).sum() / n
-    if parent_term <= _EPS:
-        return Node(counts, label, conf)
+def _grow(t: _Columns, r0: int, r1: int, e0: int, e1: int) -> Node:
+    """Subtree over rows t.rows[r0:r1], whose entries are [e0:e1]."""
+    node, best = _best_split(t, t.rows[r0:r1], t.erow[e0:e1], t.ecol[e0:e1])
+    if best is None:
+        return node
+    node.feature, node.children = t.feature_names[best], {}
+    for b, rs, es in _partition(t, best, r0, r1, e0, e1):
+        child = _grow(t, *rs, *es)
+        key = t.missing if b < 0 else t.col_value[b]
+        if key is None:
+            node.missing_child = child
+        else:
+            node.children[key] = child
+    return node
 
-    n_labels = len(label_names)
-    gains = {}
-    split_infos = {}
-    fallback_j = None  # lexicographically first splittable feature
-    for j in order:  # lexicographic feature order: first strict max wins ties
-        col = X[:, j]
-        nv = len(value_names[j])
-        cm = np.bincount(col * n_labels + y, minlength=nv * n_labels)
-        cm = cm.reshape(nv, n_labels).astype(np.float64)
-        sizes = cm.sum(axis=1)
-        nz = sizes > 0
-        if nz.sum() < 2:
-            continue
-        if fallback_j is None:
-            fallback_j = j
-        child_term = (sizes[nz] - (cm[nz] ** 2).sum(axis=1) / sizes[nz]).sum()
-        gain = (parent_term - child_term) / n
-        if gain > _EPS:
-            frac = sizes[nz] / n
-            gains[j] = gain
-            split_infos[j] = -(frac * np.log2(frac)).sum()
-    best_j = _select_split(gains, split_infos, order)
-    if best_j is None:
+
+def _best_split(t: _Columns, rows, erow, ecol) -> tuple[Node, int | None]:
+    """The node's leaf form and the feature to split it on, if any."""
+    bc = np.bincount(t.y[rows], minlength=len(t.label_names))
+    present = np.flatnonzero(bc)
+    counts = {t.label_names[c]: int(bc[c]) for c in present}
+    node = Node(counts, *_majority(counts))
+    m = len(rows)
+    parent = bc[present].astype(np.float64)
+    parent_term = m - (parent ** 2).sum() / m
+    if parent_term <= _EPS or len(ecol) == 0:
+        return node, None
+
+    # one count table, columns x (labels present here); the missing branch
+    # of a feature is the parent count minus the counts of its columns
+    n_labels = len(present)
+    entry_label = (np.cumsum(bc > 0, dtype=np.int32) - 1)[t.y[erow]]
+    table = np.bincount(ecol * n_labels + entry_label, minlength=len(t.col_value) * n_labels)
+    table = table.reshape(-1, n_labels)
+    cols = np.flatnonzero(table.any(axis=1))
+    table = table[cols].astype(np.float64)
+    feats, starts = np.unique(t.col_feature[cols], return_index=True)
+    missing = parent - np.add.reduceat(table, starts, axis=0)
+    sizes, m_sizes = table.sum(axis=1), missing.sum(axis=1)
+    child_term = np.add.reduceat(sizes - (table ** 2).sum(axis=1) / sizes, starts)
+    child_term += m_sizes - (missing ** 2).sum(axis=1) / np.maximum(m_sizes, 1)
+    gain = (parent_term - child_term) / m
+    frac = sizes / m
+    m_frac = np.where(m_sizes > 0, m_sizes, m) / m  # empty branch: 1 * log2(1) = 0
+    split_info = -(np.add.reduceat(frac * np.log2(frac), starts) + m_frac * np.log2(m_frac))
+    splittable = np.diff(starts, append=len(cols)) + (m_sizes > 0) > 1
+    keep = splittable & (gain > _EPS)
+    feats_kept = feats[keep].tolist()
+    gains = dict(zip(feats_kept, gain[keep].tolist()))
+    split_infos = dict(zip(feats_kept, split_info[keep].tolist()))
+    best = _select_split(gains, split_infos, feats_kept)
+    if best is None and splittable.any():
         # zero gain everywhere but the node is impure: split anyway on the
         # first splittable feature so consistent data is always separated
         # (XOR needs this); recursion still terminates because children
         # are strictly smaller
-        best_j = fallback_j
-    if best_j is None:
-        return Node(counts, label, conf)
+        best = int(feats[splittable][0])
+    return node, best
 
-    node = Node(counts, label, conf, feature=feature_names[best_j], children={})
-    col = X[:, best_j]
-    for code in np.unique(col):
-        mask = col == code
-        child = _build_dense(
-            X[mask], y[mask], feature_names, value_names, label_names, order
-        )
-        if code == 0:
-            node.missing_child = child
-        else:
-            node.children[value_names[best_j][code]] = child
-    return node
+
+def _partition(t: _Columns, best: int, r0: int, r1: int, e0: int, e1: int):
+    """Group a node's rows and entries by their branch on feature `best`;
+    returns (column or -1 for missing, row bounds, entry bounds) per branch."""
+    rows, erow, ecol = t.rows[r0:r1], t.erow[e0:e1], t.ecol[e0:e1]
+    lo, hi = np.searchsorted(t.col_feature, [best, best + 1])
+    on = (ecol >= lo) & (ecol < hi)
+    t.branch[rows] = -1
+    t.branch[erow[on]] = ecol[on]
+    row_branch, entry_branch = t.branch[rows], t.branch[erow]
+    rows[:] = rows[np.argsort(row_branch, kind="stable")]
+    by_entry = np.argsort(entry_branch, kind="stable")
+    erow[:] = erow[by_entry]
+    ecol[:] = ecol[by_entry]
+    row_branch.sort()
+    entry_branch.sort()
+    branches = np.unique(row_branch)  # the missing branch first, then by value
+    r = (r0 + np.searchsorted(row_branch, branches)).tolist() + [r1]
+    e = (e0 + np.searchsorted(entry_branch, branches)).tolist() + [e1]
+    return [(b, r[i : i + 2], e[i : i + 2]) for i, b in enumerate(branches.tolist())]
 
 
 def fit_encoded(enc: Encoder) -> DecisionTree:
@@ -210,8 +260,22 @@ def fit_encoded(enc: Encoder) -> DecisionTree:
         raise ValueError("cannot fit on an empty dataset")
     X, y, label_names = enc.matrix()
     order = sorted(range(len(enc.feature_names)), key=lambda j: enc.feature_names[j])
-    root = _build_dense(X, y, enc.feature_names, enc.value_names, label_names, order)
-    return DecisionTree(root, len(y))
+    X = X[:, order]
+    # one column per (feature, value code >= 1); code 0 is the missing branch
+    n_values = np.array([len(enc.value_names[j]) - 1 for j in order], dtype=np.int32)
+    valued = X != 0
+    t = _Columns(
+        y,
+        label_names,
+        [enc.feature_names[j] for j in order],
+        np.repeat(np.arange(len(order), dtype=np.int32), n_values),
+        [value for j in order for value in enc.value_names[j][1:]],
+        None,
+        np.repeat(np.arange(len(y), dtype=np.int32), valued.sum(axis=1)),
+        (X + (np.cumsum(n_values) - n_values - 1))[valued],
+    )
+    del X, valued  # the dense codes are not needed while growing
+    return DecisionTree(_grow(t, 0, len(y), 0, len(t.ecol)), len(y))
 
 
 def dt_fit(dataset: list[tuple[FeatureVector, str]]) -> DecisionTree:
@@ -229,74 +293,25 @@ def dt_fit(dataset: list[tuple[FeatureVector, str]]) -> DecisionTree:
     return fit_encoded(enc)
 
 
-def dt_predict(tree: DecisionTree, fv: FeatureVector) -> tuple[str, float]:
-    return tree.predict(fv)
-
-
 def dt_fit_binary(X_csr, y_labels: list[str], feature_names: list[str]) -> DecisionTree:
     """Fit on an all-binary CSR matrix; children are keyed "0"/"1"."""
-    import scipy.sparse as sp
-
     n = X_csr.shape[0]
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
-    label_names = sorted(set(y_labels))
-    label_code = {name: c for c, name in enumerate(label_names)}
-    y = np.array([label_code[l] for l in y_labels], dtype=np.int32)
-    Xc = sp.csc_matrix(X_csr)
-    order = np.argsort(np.array(feature_names))
-
-    def build(rows: np.ndarray) -> Node:
-        yr = y[rows]
-        counts = _counts_dict(yr, label_names)
-        label, conf = _majority(counts)
-        m = len(rows)
-        bc = np.bincount(yr, minlength=len(label_names)).astype(np.float64)
-        parent_term = m - (bc ** 2).sum() / m
-        if parent_term <= _EPS:
-            return Node(counts, label, conf)
-
-        Xr = X_csr[rows]
-        n1 = np.asarray(Xr.sum(axis=0)).ravel().astype(np.float64)
-        sq1 = np.zeros_like(n1)
-        sq0 = np.zeros_like(n1)
-        for c in np.nonzero(bc)[0]:
-            ones_c = np.asarray(Xr[yr == c].sum(axis=0)).ravel().astype(np.float64)
-            sq1 += ones_c ** 2
-            sq0 += (bc[c] - ones_c) ** 2
-        n0 = m - n1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(n1 > 0, n1 - sq1 / np.where(n1 > 0, n1, 1), 0.0)
-            t0 = np.where(n0 > 0, n0 - sq0 / np.where(n0 > 0, n0, 1), 0.0)
-        gain_arr = (parent_term - (t1 + t0)) / m
-        gain_arr[(n1 == 0) | (n0 == 0)] = 0.0
-
-        gains = {}
-        split_infos = {}
-        for j in np.nonzero(gain_arr > _EPS)[0]:
-            f1 = n1[j] / m
-            gains[int(j)] = float(gain_arr[j])
-            split_infos[int(j)] = float(
-                -(f1 * np.log2(f1) + (1 - f1) * np.log2(1 - f1))
-            )
-        best_j = _select_split(gains, split_infos, order)
-        if best_j is None:
-            splittable = (n1 > 0) & (n0 > 0)
-            for j in order:
-                if splittable[j]:
-                    best_j = j
-                    break
-        if best_j is None:
-            return Node(counts, label, conf)
-
-        col = Xc.getcol(int(best_j))
-        on = np.zeros(n, dtype=bool)
-        on[col.indices] = True
-        mask = on[rows]
-        node = Node(counts, label, conf, feature=feature_names[best_j], children={})
-        node.children["1"] = build(rows[mask])
-        node.children["0"] = build(rows[~mask])
-        return node
-
-    root = build(np.arange(n))
-    return DecisionTree(root, n)
+    y, label_names = _label_codes(y_labels)
+    order = sorted(range(len(feature_names)), key=feature_names.__getitem__)
+    rank = np.argsort(order)
+    # a column for each feature that is ever "1"; "0" is the missing branch
+    on = X_csr.data != 0
+    used, ecol = np.unique(rank[X_csr.indices[on]], return_inverse=True)
+    t = _Columns(
+        y,
+        label_names,
+        [feature_names[j] for j in order],
+        used,
+        ["1"] * len(used),
+        "0",
+        np.repeat(np.arange(n, dtype=np.int32), np.diff(X_csr.indptr))[on],
+        ecol.astype(np.int32),
+    )
+    return DecisionTree(_grow(t, 0, n, 0, len(t.ecol)), n)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 TEXT_FIELD = "TextField"
 BUTTON = "Button"
-CHECKBOX = "Checkbox"
 
 UPDATE_FIELD = "UpdateField"
 PRESS_BUTTON = "PressButton"

@@ -52,9 +52,6 @@ class FractionProblem:
     op: str  # "+" or "*"
     ptype: str
 
-    def log_line(self) -> str:
-        return f"{self.ptype} {self.n1}/{self.d1} {self.op} {self.n2}/{self.d2}"
-
 
 def _build_state(problem: FractionProblem) -> TutorState:
     p = problem

@@ -49,9 +49,6 @@ class AdditionProblem:
     a: int
     b: int
 
-    def log_line(self) -> str:
-        return f"{self.a} + {self.b} = {self.a + self.b}"
-
 
 def _digits(n: int) -> tuple[int, int, int]:
     return n // 100, (n // 10) % 10, n % 10

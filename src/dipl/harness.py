@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .agents import (
@@ -32,6 +32,13 @@ MAX_ATTEMPTS_PER_STEP = 50
 
 DOMAINS = ("fractions", "mc-addition")
 AGENTS = ("dipl", "dipl-norel", "how-lhs", "dt-demos")
+SUITE_LISTS = ("domains", "agents", "seeds")
+# RunConfig settings a suite may give, as scalars or per-"domain/agent"
+# dicts; a given value is converted to the type of its default
+SUITE_SETTINGS = {
+    "problems": 100, "window": 10, "threshold": 0.1,
+    "implicit_negatives": True, "retrain_every": 1,
+}
 
 CSV_HEADER = "problem_idx,steps,first_try_correct,demos,error"
 
@@ -70,6 +77,10 @@ class RunConfig:
             raise ValueError(f"unknown domain: {self.domain}")
         if self.agent not in AGENTS:
             raise ValueError(f"unknown agent: {self.agent}")
+        if self.problems < 1:
+            raise ValueError("problems must be >= 1")
+        if self.retrain_every < 1:
+            raise ValueError("retrain_every must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if not 0 < self.threshold < 1:
@@ -196,8 +207,15 @@ def run_ablation(suite: dict, out_dir) -> dict:
 
     Suite keys: domains[], agents[], seeds[], problems, and optional
     window/threshold/implicit_negatives/retrain_every (scalars or
-    per-"domain/agent" dicts).  Aborted runs become marked cells.
+    per-"domain/agent" dicts).  Aborted runs become marked cells.  Unknown
+    keys and empty or missing lists raise ValueError before any run.
     """
+    unknown = sorted(set(suite) - set(SUITE_LISTS) - set(SUITE_SETTINGS))
+    if unknown:
+        raise ValueError(f"unknown suite keys: {unknown}")
+    for key in SUITE_LISTS:
+        if not suite.get(key):
+            raise ValueError(f"suite needs a non-empty {key!r} list")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -214,18 +232,10 @@ def run_ablation(suite: dict, out_dir) -> dict:
             intercepts = []
             aborted = 0
             for seed in suite["seeds"]:
-                cfg = RunConfig(
-                    domain=domain,
-                    agent=agent,
-                    problems=int(setting("problems", 100, cell)),
-                    seed=seed,
-                    window=int(setting("window", 10, cell)),
-                    threshold=float(setting("threshold", 0.1, cell)),
-                    implicit_negatives=bool(
-                        setting("implicit_negatives", True, cell)
-                    ),
-                    retrain_every=int(setting("retrain_every", 1, cell)),
-                )
+                cfg = RunConfig(domain, agent, seed=seed, **{
+                    key: type(default)(setting(key, default, cell))
+                    for key, default in SUITE_SETTINGS.items()
+                })
                 name = f"run_{domain.replace('-', '_')}_{agent.replace('-', '_')}_{seed}.csv"
                 try:
                     records = run_training(cfg)

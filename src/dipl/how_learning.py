@@ -12,7 +12,7 @@ on parse failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -113,18 +113,8 @@ def set_chaining(
         sources.setdefault(value, []).append(eid)
     wave = {v: 0 for v in sources}
     records: dict[str, list[tuple[str, tuple[str, ...]]]] = {v: [] for v in sources}
-    def backtrace(value: str, memo: dict) -> list[Composition]:
-        if value in memo:
-            return memo[value]
-        comps = [Composition.leaf(eid) for eid in sources.get(value, [])]
-        for fn_name, argvals in records.get(value, []):
-            for sub in itertools.product(*(backtrace(a, memo) for a in argvals)):
-                comps.append(Composition.call(fn_name, sub))
-        memo[value] = comps
-        return comps
-
     if goal in wave:
-        return backtrace(goal, {})
+        return _backtrace(goal, sources, records, {})
 
     for _k in range(1, max_depth + 1):
         vals = sorted(wave)
@@ -139,8 +129,21 @@ def set_chaining(
             wave[v] = _k
             records[v] = recs
         if goal in new:
-            return backtrace(goal, {})
+            return _backtrace(goal, sources, records, {})
     return None
+
+
+def _backtrace(value: str, sources: dict, records: dict, memo: dict) -> list[Composition]:
+    """Every composition that derives `value` from the recorded waves."""
+    if value in memo:
+        return memo[value]
+    comps = [Composition.leaf(eid) for eid in sources.get(value, [])]
+    for fn_name, argvals in records.get(value, []):
+        subs = (_backtrace(a, sources, records, memo) for a in argvals)
+        for sub in itertools.product(*subs):
+            comps.append(Composition.call(fn_name, sub))
+    memo[value] = comps
+    return comps
 
 
 def select_parsimonious(candidates: list[Composition]) -> Composition:
@@ -196,20 +199,21 @@ def evaluate(
             return None
         values.append(v)
 
-    def walk(c: Composition) -> str | None:
-        if c.const is not None:
-            return c.const
-        if c.ref is not None:
-            i = int(c.ref[3:])
-            if i >= len(values):
-                raise ValueError("binding arity mismatch")
-            return values[i]
-        sub = [walk(a) for a in c.args]
-        if any(s is None for s in sub):
-            return None
-        return by_name[c.fn](*sub)
-
     n_vars = len({r for r in howpart.leaf_refs()})
     if n_vars != len(values):
         raise ValueError("binding arity mismatch")
-    return walk(howpart)
+    return _apply(howpart, values, by_name)
+
+
+def _apply(c: Composition, values: list[str], by_name: dict) -> str | None:
+    if c.const is not None:
+        return c.const
+    if c.ref is not None:
+        i = int(c.ref[3:])
+        if i >= len(values):
+            raise ValueError("binding arity mismatch")
+        return values[i]
+    sub = [_apply(a, values, by_name) for a in c.args]
+    if any(s is None for s in sub):
+        return None
+    return by_name[c.fn](*sub)

@@ -10,7 +10,7 @@ skill.  The classifier itself is the categorical decision tree from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import classifiers
 from .core import TutorState
@@ -144,12 +144,6 @@ def absolute_featurize(
     return _value_features(named, state, feature_funcs)
 
 
-@dataclass
-class WhenExample:
-    fv: classifiers.FeatureVector
-    label: str
-
-
 class WhenPart:
     """Per-skill precondition classifier; refit on every new example."""
 
@@ -157,11 +151,9 @@ class WhenPart:
         self.mode = mode
         self.encoder = classifiers.Encoder()
         self.tree: classifiers.DecisionTree | None = None
-        self.n_examples = 0
 
     def add(self, fv: classifiers.FeatureVector, label: str):
         self.encoder.add(fv, label)
-        self.n_examples += 1
         self.tree = classifiers.fit_encoded(self.encoder)
 
     def predict(self, fv: classifiers.FeatureVector) -> tuple[bool, float]:
@@ -169,14 +161,6 @@ class WhenPart:
             return True, 0.5  # untrained skills fire optimistically
         label, conf = self.tree.predict(fv)
         return label == POSITIVE, conf
-
-
-def when_update(skill, fv: classifiers.FeatureVector, label: str):
-    skill.when.add(fv, label)
-
-
-def when_predict(skill, fv: classifiers.FeatureVector) -> tuple[bool, float]:
-    return skill.when.predict(fv)
 
 
 def serialize_features(fv: classifiers.FeatureVector) -> str:

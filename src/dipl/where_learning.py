@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import BUTTON, Demo, PRESS_BUTTON, TutorState, UPDATE_FIELD
 from .how_learning import (
@@ -59,15 +59,6 @@ class WherePart:
             if all(state.has_element(a) for a in b.args):
                 out.append(b)
         return out
-
-
-def where_record(wp: WherePart, binding: Binding) -> WherePart:
-    wp.record(binding)
-    return wp
-
-
-def where_candidates(wp: WherePart, state: TutorState) -> list[Binding]:
-    return wp.candidates(state)
 
 
 def _offset_pattern(state: TutorState, binding: Binding):
@@ -137,7 +128,7 @@ def match_or_create(
                     _offset_pattern(state, b) == pattern for b in skill.where.bindings
                 ):
                     score += 1
-            scored.append((-score, skill.created, seq, skill, binding))
+            scored.append((-score, skill.sid, seq, skill, binding))
             seq += 1
     if scored:
         _, _, _, skill, binding = min(scored, key=lambda t: t[:3])

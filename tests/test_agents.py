@@ -146,7 +146,7 @@ def test_act_prefers_higher_confidence_then_earlier_skill():
     prop = agent.act(env2.state)
     assert isinstance(prop, Proposal)
     cands = agent._candidates(env2.state, skip_rejected=True)
-    best = min(cands, key=lambda t: (-t[0], t[1].created, t[2]))
+    best = min(cands, key=lambda t: (-t[0], t[1].sid, t[2]))
     assert prop.sai == best[4]
 
 

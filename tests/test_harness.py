@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from dipl.agents import DtDemosAgent, HowLhsAgent, mc_addition_schema
 from dipl.cli import main as cli_main
+from dipl.env_mc_addition import mc_action_space
 from dipl.harness import (
     RunConfig,
     RunRecord,
@@ -14,6 +16,7 @@ from dipl.harness import (
     run_training,
     write_csv,
 )
+from dipl.how_learning import MC_ADDITION_FUNCS
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +94,17 @@ def test_run_config_validation():
         RunConfig(domain="fractions", agent="rl", problems=5)
     with pytest.raises(ValueError):
         RunConfig(domain="fractions", agent="dipl", problems=5, threshold=0.0)
+    for problems in (0, -3):
+        with pytest.raises(ValueError, match="problems"):
+            RunConfig(domain="fractions", agent="dipl", problems=problems)
+    for agent in ("how-lhs", "dt-demos"):
+        with pytest.raises(ValueError, match="retrain_every"):
+            RunConfig(domain="mc-addition", agent=agent, problems=5, retrain_every=0)
+    # the agents reject it too, rather than clamping it to 1
+    with pytest.raises(ValueError, match="retrain_every"):
+        HowLhsAgent(MC_ADDITION_FUNCS, [], retrain_every=0)
+    with pytest.raises(ValueError, match="retrain_every"):
+        DtDemosAgent(mc_action_space(), mc_addition_schema(), retrain_every=0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +150,25 @@ def test_ablation_byte_identical_across_executions(tmp_path):
     run_ablation(suite, tmp_path / "b")
     name = "run_mc_addition_dipl_0.csv"
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_ablation_rejects_suite_typo(tmp_path):
+    # "problem" for "problems" used to run the 100-problem default
+    suite = {"domains": ["mc-addition"], "agents": ["dipl"], "seeds": [0], "problem": 5}
+    with pytest.raises(ValueError, match="problem"):
+        run_ablation(suite, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["domains", "agents", "seeds"])
+def test_ablation_rejects_empty_lists(tmp_path, key):
+    suite = {"domains": ["mc-addition"], "agents": ["dipl"], "seeds": [0], "problems": 5}
+    suite[key] = []
+    with pytest.raises(ValueError, match=key):
+        run_ablation(suite, tmp_path / "out")
+    del suite[key]
+    with pytest.raises(ValueError, match=key):
+        run_ablation(suite, tmp_path / "out")
 
 
 def test_none_median_ranking(tmp_path):

@@ -26,18 +26,17 @@ def _state(values, locked=(), rows=None):
 
 
 class _Skill:
-    def __init__(self, sid, action, how, arity, created):
+    def __init__(self, sid, action, how, arity):
         self.sid = sid
         self.action = action
         self.how = how
         self.arity = arity
         self.where = WherePart(arity)
-        self.created = created
 
 
 def _factory(skills):
     def make(action, how, arity):
-        s = _Skill(len(skills), action, how, arity, len(skills))
+        s = _Skill(len(skills), action, how, arity)
         skills.append(s)
         return s
 
