@@ -10,6 +10,11 @@
 
 `act(state)` returns a Proposal or DEMO_REQUEST; `learn(event)` consumes
 AttemptResult / DemoReceived events from the harness.
+
+The two symbolic agents keep their skills in `self.skills`, which only
+`where_learning.match_or_create` appends to; it also records each demo's
+binding.  DiplAgent gives every new skill its own WhenPart; HowLhsAgent's
+skills have none.
 """
 
 from __future__ import annotations
@@ -19,20 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers, when_learning
-from .core import BUTTON, Demo, PRESS_BUTTON, SAI, TutorState
-from .how_learning import Composition, evaluate
+from .core import BUTTON, Demo, SAI, TutorState
 from .when_learning import (
-    ABSOLUTE,
     NEGATIVE,
     POSITIVE,
-    RELATIVE,
     WhenPart,
     absolute_featurize,
     adjacency_graph,
     relative_featurize,
     shortest_paths,
 )
-from .where_learning import Binding, WherePart, match_or_create
+from .where_learning import Binding, Skill, match_or_create
 
 
 class DemoRequest:
@@ -41,16 +43,6 @@ class DemoRequest:
 
 
 DEMO_REQUEST = DemoRequest()
-
-
-@dataclass
-class Skill:
-    sid: int
-    action: str  # UpdateField or PressButton
-    how: Composition | None  # None for button skills
-    arity: int
-    where: WherePart
-    when: WhenPart | None  # None for HowLhsAgent, whose one tree decides
 
 
 @dataclass
@@ -84,14 +76,12 @@ class DiplAgent:
         self,
         funcs,
         feature_funcs,
-        max_depth: int = 2,
         relative: bool = True,
         implicit_negatives: bool = True,
     ):
         self.funcs = funcs
         self.feature_funcs = feature_funcs
-        self.max_depth = max_depth
-        self.mode = RELATIVE if relative else ABSOLUTE
+        self.relative = relative
         self.implicit_negatives = implicit_negatives
         self.skills: list[Skill] = []
         self._rejected: set[tuple[int, Binding]] = set()
@@ -101,7 +91,7 @@ class DiplAgent:
 
     # -- featurization with path caching (layouts are static per domain) --
     def _featurize(self, state: TutorState, binding: Binding):
-        if self.mode == ABSOLUTE:
+        if not self.relative:
             if self._abs_fv is None:
                 self._abs_fv = absolute_featurize(state, self.feature_funcs)
             return self._abs_fv
@@ -134,13 +124,9 @@ class DiplAgent:
                 fire, conf = skill.when.predict(fv)
                 if not fire:
                     continue
-                if skill.action == PRESS_BUTTON:
-                    value = ""
-                else:
-                    value = evaluate(skill.how, binding.args, state, self.funcs)
-                    if value is None:
-                        continue
-                sai = SAI(binding.selection, skill.action, value)
+                sai = skill.sai(binding, state, self.funcs)
+                if sai is None:
+                    continue
                 out.append((conf, skill, idx, binding, sai, fv))
         return out
 
@@ -152,18 +138,6 @@ class DiplAgent:
             cands, key=lambda t: (-t[0], t[1].sid, t[2])
         )
         return Proposal(sai, skill, binding, fv)
-
-    def _make_skill(self, action, howpart, arity) -> Skill:
-        skill = Skill(
-            sid=len(self.skills),
-            action=action,
-            how=howpart,
-            arity=arity,
-            where=WherePart(arity),
-            when=WhenPart(self.mode),
-        )
-        self.skills.append(skill)
-        return skill
 
     def learn(self, event):
         if isinstance(event, AttemptResult):
@@ -184,10 +158,9 @@ class DiplAgent:
             ):
                 if sai != demo.sai:
                     skill.when.add(fv, NEGATIVE)
-        skill, binding, _created = match_or_create(
-            demo, state, self.skills, self.funcs, self.max_depth, self._make_skill
-        )
-        skill.where.record(binding)
+        skill, binding, created = match_or_create(demo, state, self.skills, self.funcs)
+        if created:
+            skill.when = WhenPart()
         skill.when.add(self._featurize(state, binding), POSITIVE)
         self._rejected.clear()
 
@@ -204,10 +177,9 @@ class HowLhsAgent:
     channel; incorrect predictions only trigger a demo on the next act.
     """
 
-    def __init__(self, funcs, feature_funcs, max_depth: int = 2, retrain_every: int = 1):
+    def __init__(self, funcs, feature_funcs, retrain_every: int = 1):
         self.funcs = funcs
         self.feature_funcs = feature_funcs
-        self.max_depth = max_depth
         if retrain_every < 1:
             raise ValueError("retrain_every must be >= 1")
         self.retrain_every = retrain_every
@@ -215,29 +187,15 @@ class HowLhsAgent:
         self._by_label: dict[str, tuple[Skill, Binding]] = {}
         self.encoder = classifiers.Encoder()
         self.tree: classifiers.DecisionTree | None = None
-        self._pending = 0
         self._need_demo = False
 
     def start_problem(self):
         self._need_demo = False
 
-    def _make_skill(self, action, howpart, arity) -> Skill:
-        skill = Skill(
-            sid=len(self.skills),
-            action=action,
-            how=howpart,
-            arity=arity,
-            where=WherePart(arity),
-            when=None,
-        )
-        self.skills.append(skill)
-        return skill
-
     def _refit(self):
-        self._pending += 1
-        if self._pending >= self.retrain_every or self.tree is None:
+        # fit on the first example, then on every retrain_every-th
+        if (len(self.encoder.rows) - 1) % self.retrain_every == 0:
             self.tree = classifiers.fit_encoded(self.encoder)
-            self._pending = 0
 
     def act(self, state: TutorState):
         if self._need_demo or self.tree is None:
@@ -246,13 +204,10 @@ class HowLhsAgent:
         fv = absolute_featurize(state, self.feature_funcs)
         label, _ = self.tree.predict(fv)
         skill, binding = self._by_label[label]
-        if skill.action == PRESS_BUTTON:
-            value = ""
-        else:
-            value = evaluate(skill.how, binding.args, state, self.funcs)
-            if value is None:
-                return DEMO_REQUEST
-        return Proposal(SAI(binding.selection, skill.action, value), skill, binding, fv)
+        sai = skill.sai(binding, state, self.funcs)
+        if sai is None:
+            return DEMO_REQUEST
+        return Proposal(sai, skill, binding, fv)
 
     def learn(self, event):
         if isinstance(event, AttemptResult):
@@ -264,10 +219,7 @@ class HowLhsAgent:
                 self._need_demo = True
             return
         state, demo = event.state, event.demo
-        skill, binding, _ = match_or_create(
-            demo, state, self.skills, self.funcs, self.max_depth, self._make_skill
-        )
-        skill.where.record(binding)
+        skill, binding, _ = match_or_create(demo, state, self.skills, self.funcs)
         label = _class_label(skill, binding)
         self._by_label[label] = (skill, binding)
         self.encoder.add(absolute_featurize(state, self.feature_funcs), label)
@@ -374,7 +326,6 @@ class DtDemosAgent:
         self.rows: list[list[int]] = []
         self.labels: list[str] = []
         self.tree: classifiers.DecisionTree | None = None
-        self._pending = 0
         self._need_demo = False
         self._slot_of = {name: i for i, name in enumerate(schema.feature_names)}
 
@@ -399,8 +350,8 @@ class DtDemosAgent:
         return Proposal(self.actions[int(node.label)])
 
     def _refit(self):
-        self._pending += 1
-        if self.tree is not None and self._pending < self.retrain_every:
+        # fit on the first example, then on every retrain_every-th
+        if (len(self.rows) - 1) % self.retrain_every:
             return
         import scipy.sparse as sp
 
@@ -414,7 +365,6 @@ class DtDemosAgent:
             shape=(len(self.rows), self.schema.size),
         )
         self.tree = classifiers.dt_fit_binary(X, self.labels, self.schema.feature_names)
-        self._pending = 0
 
     def learn(self, event):
         if isinstance(event, AttemptResult):

@@ -46,7 +46,6 @@ class Node:
 @dataclass
 class DecisionTree:
     root: Node
-    n_examples: int
 
     def predict(self, fv: FeatureVector) -> tuple[str, float]:
         node = self.root
@@ -275,7 +274,7 @@ def fit_encoded(enc: Encoder) -> DecisionTree:
         (X + (np.cumsum(n_values) - n_values - 1))[valued],
     )
     del X, valued  # the dense codes are not needed while growing
-    return DecisionTree(_grow(t, 0, len(y), 0, len(t.ecol)), len(y))
+    return DecisionTree(_grow(t, 0, len(y), 0, len(t.ecol)))
 
 
 def dt_fit(dataset: list[tuple[FeatureVector, str]]) -> DecisionTree:
@@ -314,4 +313,4 @@ def dt_fit_binary(X_csr, y_labels: list[str], feature_names: list[str]) -> Decis
         np.repeat(np.arange(n, dtype=np.int32), np.diff(X_csr.indptr))[on],
         ecol.astype(np.int32),
     )
-    return DecisionTree(_grow(t, 0, n, 0, len(t.ecol)), n)
+    return DecisionTree(_grow(t, 0, n, 0, len(t.ecol)))

@@ -208,7 +208,8 @@ def run_ablation(suite: dict, out_dir) -> dict:
     Suite keys: domains[], agents[], seeds[], problems, and optional
     window/threshold/implicit_negatives/retrain_every (scalars or
     per-"domain/agent" dicts).  Aborted runs become marked cells.  Unknown
-    keys and empty or missing lists raise ValueError before any run.
+    keys, empty or missing lists and invalid run settings raise ValueError
+    before anything is written.
     """
     unknown = sorted(set(suite) - set(SUITE_LISTS) - set(SUITE_SETTINGS))
     if unknown:
@@ -216,8 +217,6 @@ def run_ablation(suite: dict, out_dir) -> dict:
     for key in SUITE_LISTS:
         if not suite.get(key):
             raise ValueError(f"suite needs a non-empty {key!r} list")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def setting(key, default, cell):
         v = suite.get(key, default)
@@ -225,47 +224,60 @@ def run_ablation(suite: dict, out_dir) -> dict:
             return v.get(cell, v.get("default", default))
         return v
 
-    summary = {}
+    # every run's config is built, and so validated, before any output
+    cells = {}
     for domain in suite["domains"]:
         for agent in suite["agents"]:
             cell = f"{domain}/{agent}"
-            intercepts = []
-            aborted = 0
-            for seed in suite["seeds"]:
-                cfg = RunConfig(domain, agent, seed=seed, **{
-                    key: type(default)(setting(key, default, cell))
-                    for key, default in SUITE_SETTINGS.items()
-                })
-                name = f"run_{domain.replace('-', '_')}_{agent.replace('-', '_')}_{seed}.csv"
-                try:
-                    records = run_training(cfg)
-                except StepOverrunError:
-                    aborted += 1
-                    continue
-                write_csv(records, out_dir / name)
-                intercepts.append(
-                    mastery_intercept(
-                        [r.error for r in records], cfg.window, cfg.threshold
-                    )
-                )
-            finite = [i for i in intercepts if i is not None]
-            n_no_mastery = sum(1 for i in intercepts if i is None)
-            ranked = sorted(intercepts, key=lambda i: float("inf") if i is None else i)
-            med = ranked[(len(ranked) - 1) // 2] if ranked else None
-            if len(ranked) % 2 == 0 and ranked and med is not None:
-                other = ranked[len(ranked) // 2]
-                med = (med + other) / 2 if other is not None else None
-            q1 = q3 = None
-            if finite and n_no_mastery == 0:
-                q1, _, q3 = _quartiles(finite)
-            summary[cell] = {
-                "median": med,
-                "q1": q1,
-                "q3": q3,
-                "n_runs": len(intercepts),
-                "n_no_mastery": n_no_mastery,
-                "n_aborted": aborted,
+            settings = {
+                key: type(default)(setting(key, default, cell))
+                for key, default in SUITE_SETTINGS.items()
             }
+            cells[cell] = [
+                RunConfig(domain, agent, seed=seed, **settings)
+                for seed in suite["seeds"]
+            ]
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    summary = {}
+    for cell, cfgs in cells.items():
+        intercepts = []
+        aborted = 0
+        for cfg in cfgs:
+            name = (
+                f"run_{cfg.domain.replace('-', '_')}_"
+                f"{cfg.agent.replace('-', '_')}_{cfg.seed}.csv"
+            )
+            try:
+                records = run_training(cfg)
+            except StepOverrunError:
+                aborted += 1
+                continue
+            write_csv(records, out_dir / name)
+            intercepts.append(
+                mastery_intercept(
+                    [r.error for r in records], cfg.window, cfg.threshold
+                )
+            )
+        finite = [i for i in intercepts if i is not None]
+        n_no_mastery = sum(1 for i in intercepts if i is None)
+        ranked = sorted(intercepts, key=lambda i: float("inf") if i is None else i)
+        med = ranked[(len(ranked) - 1) // 2] if ranked else None
+        if len(ranked) % 2 == 0 and ranked and med is not None:
+            other = ranked[len(ranked) // 2]
+            med = (med + other) / 2 if other is not None else None
+        q1 = q3 = None
+        if finite and n_no_mastery == 0:
+            q1, _, q3 = _quartiles(finite)
+        summary[cell] = {
+            "median": med,
+            "q1": q1,
+            "q3": q3,
+            "n_runs": len(intercepts),
+            "n_no_mastery": n_no_mastery,
+            "n_aborted": aborted,
+        }
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n"
     )

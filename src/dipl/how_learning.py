@@ -180,17 +180,14 @@ def evaluate(
     howpart: Composition,
     binding: tuple[str, ...] | list[str],
     state,
-    funcs: list[PrimitiveFunction] | dict[str, PrimitiveFunction],
+    funcs: list[PrimitiveFunction],
 ) -> str | None:
     """Evaluate a variablized how-part against bound element values.
 
     Returns None when inapplicable: an empty bound value or a failing
     primitive (e.g. non-numeric parse).
     """
-    if isinstance(funcs, dict):
-        by_name = {n: f.apply for n, f in funcs.items()}
-    else:
-        by_name = {f.name: f.apply for f in funcs}
+    by_name = {f.name: f.apply for f in funcs}
 
     values = []
     for eid in binding:

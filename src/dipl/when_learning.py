@@ -18,9 +18,6 @@ from .core import TutorState
 POSITIVE = "pos"
 NEGATIVE = "neg"
 
-RELATIVE = "relative"
-ABSOLUTE = "absolute"
-
 # paths longer than this are dropped during featurization
 MAX_PATH_STEPS = 4
 
@@ -123,16 +120,13 @@ def relative_featurize(
     selection: str,
     args: tuple[str, ...],
     feature_funcs: list[FeatureFunction],
-    nav=None,
     paths=None,
 ) -> classifiers.FeatureVector:
     if paths is None:
-        if nav is None:
-            nav = adjacency_graph(state)
         sources = [("Sel", selection)] + [
             (f"Arg{i}", eid) for i, eid in enumerate(args)
         ]
-        paths = shortest_paths(nav, sources, MAX_PATH_STEPS)
+        paths = shortest_paths(adjacency_graph(state), sources, MAX_PATH_STEPS)
     named = sorted((p.render(), eid) for eid, p in paths.items())
     return _value_features(named, state, feature_funcs)
 
@@ -147,8 +141,7 @@ def absolute_featurize(
 class WhenPart:
     """Per-skill precondition classifier; refit on every new example."""
 
-    def __init__(self, mode: str = RELATIVE):
-        self.mode = mode
+    def __init__(self):
         self.encoder = classifiers.Encoder()
         self.tree: classifiers.DecisionTree | None = None
 

@@ -1,12 +1,15 @@
-"""Where-learning: per-skill binding memory and demo explanation.
+"""Where-learning, binding memory and the skill registry.
 
-The evaluated variant is deliberately simple: a where-part only recalls
+A skill is one how-part, one where-part and one when-part.  This module
+is the only place skills are created: `match_or_create` explains a demo
+with an existing skill (some binding of its how-part reproduces the
+demonstrated input) or founds a new one via set chaining, appends it to
+the agent's skill list, and records the demo's binding in the skill's
+where-part.  The caller attaches a when-part if it uses one.
+
+The evaluated where-part is deliberately simple: it only recalls
 (selection, args) tuples seen in past worked examples.  Spatial
 generalization is carried by when-learning's relative features, not here.
-
-`match_or_create` decides whether a new demo extends an existing skill
-(some binding of its how-part reproduces the demonstrated input) or founds
-a new one via set chaining.
 """
 
 from __future__ import annotations
@@ -14,15 +17,20 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .core import BUTTON, Demo, PRESS_BUTTON, TutorState, UPDATE_FIELD
+from .core import BUTTON, Demo, PRESS_BUTTON, SAI, TutorState, UPDATE_FIELD
 from .how_learning import (
+    Composition,
     constant_howpart,
     evaluate,
     select_parsimonious,
     set_chaining,
     variablize,
 )
+
+if TYPE_CHECKING:
+    from .when_learning import WhenPart
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,25 @@ class WherePart:
         return out
 
 
+@dataclass
+class Skill:
+    sid: int
+    action: str  # UpdateField or PressButton
+    how: Composition | None  # None for button skills
+    arity: int
+    where: WherePart
+    when: WhenPart | None = None  # None for HowLhsAgent, whose one tree decides
+
+    def sai(self, binding: Binding, state: TutorState, funcs) -> SAI | None:
+        """The action at `binding`, or None when the how-part is inapplicable."""
+        if self.action == PRESS_BUTTON:
+            return SAI(binding.selection, PRESS_BUTTON, "")
+        value = evaluate(self.how, binding.args, state, funcs)
+        if value is None:
+            return None
+        return SAI(binding.selection, self.action, value)
+
+
 def _offset_pattern(state: TutorState, binding: Binding):
     """Multiset of arg (type, row/col offset from selection); used for the
     structure-similarity score."""
@@ -72,20 +99,24 @@ def _offset_pattern(state: TutorState, binding: Binding):
     return Counter(items)
 
 
-def match_or_create(
-    demo: Demo,
-    state: TutorState,
-    skills: list,
-    funcs,
-    max_depth: int,
-    skill_factory,
-):
-    """Explain a demo with an existing skill, else induce a new one.
+def match_or_create(demo: Demo, state: TutorState, skills: list[Skill], funcs):
+    """Explain a demo with an existing skill, else induce and append a new
+    one; record the demo's binding in the skill's where-part.
 
-    Returns (skill, binding, created).  `skill_factory(action, howpart,
-    arity)` builds and registers a new skill when no existing how-part
-    reproduces the demonstrated input.
+    Returns (skill, binding, created).
     """
+    skill, binding, created = _explain(demo, state, skills, funcs)
+    skill.where.record(binding)
+    return skill, binding, created
+
+
+def _new_skill(skills: list[Skill], action: str, how, arity: int) -> Skill:
+    skill = Skill(len(skills), action, how, arity, WherePart(arity))
+    skills.append(skill)
+    return skill
+
+
+def _explain(demo: Demo, state: TutorState, skills: list[Skill], funcs):
     sai = demo.sai
 
     if sai.action == PRESS_BUTTON:
@@ -93,7 +124,7 @@ def match_or_create(
         for skill in skills:
             if skill.action == PRESS_BUTTON:
                 return skill, binding, False
-        return skill_factory(PRESS_BUTTON, None, 0), binding, True
+        return _new_skill(skills, PRESS_BUTTON, None, 0), binding, True
 
     if demo.arg_annotations:
         pool = list(demo.arg_annotations)
@@ -135,7 +166,7 @@ def match_or_create(
         return skill, binding, False
 
     leaves = [(eid, state.value(eid)) for eid in pool]
-    comps = set_chaining(sai.input, leaves, funcs, max_depth) if leaves else None
+    comps = set_chaining(sai.input, leaves, funcs) if leaves else None
     if comps and annotated:
         # the annotation is the true composition's argument list, so
         # explanations that ignore an annotated argument are spurious
@@ -155,5 +186,5 @@ def match_or_create(
             and skill.how.render() == rendered
         ):
             return skill, Binding(sai.selection, tuple(arg_order)), False
-    skill = skill_factory(UPDATE_FIELD, howpart, len(arg_order))
+    skill = _new_skill(skills, UPDATE_FIELD, howpart, len(arg_order))
     return skill, Binding(sai.selection, tuple(arg_order)), True

@@ -85,7 +85,7 @@ def ref_fit_encoded(enc: Encoder) -> DecisionTree:
     X, y, label_names = enc.matrix()
     order = sorted(range(len(enc.feature_names)), key=lambda j: enc.feature_names[j])
     root = _build_dense(X, y, enc.feature_names, enc.value_names, label_names, order)
-    return DecisionTree(root, len(y))
+    return DecisionTree(root)
 
 
 def ref_dt_fit_binary(X_csr, y_labels: list[str], feature_names: list[str]) -> DecisionTree:
@@ -151,4 +151,4 @@ def ref_dt_fit_binary(X_csr, y_labels: list[str], feature_names: list[str]) -> D
         return node
 
     root = build(np.arange(n))
-    return DecisionTree(root, n)
+    return DecisionTree(root)

@@ -1,5 +1,6 @@
 """Agents: one-hot schemas, skill lifecycle, action selection, baselines."""
 
+from dipl import classifiers
 from dipl.agents import (
     AttemptResult,
     DEMO_REQUEST,
@@ -12,11 +13,11 @@ from dipl.agents import (
     mc_addition_schema,
     one_hot_encode,
 )
-from dipl.core import Demo, PRESS_BUTTON, SAI, UPDATE_FIELD
+from dipl.core import SAI, UPDATE_FIELD
 from dipl.env_fractions import FractionProblem, FractionsEnv, fractions_action_space
 from dipl.env_mc_addition import McAdditionEnv, mc_action_space
 from dipl.how_learning import FRACTIONS_FUNCS, MC_ADDITION_FUNCS
-from dipl.when_learning import EQUALS
+from dipl.when_learning import EQUALS, WhenPart
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +151,46 @@ def test_act_prefers_higher_confidence_then_earlier_skill():
     assert prop.sai == best[4]
 
 
+def _train(agent, env, problems):
+    for _ in range(problems):
+        env.new_problem()
+        agent.start_problem()
+        while not env.done:
+            prop = agent.act(env.state)
+            if prop is DEMO_REQUEST:
+                demo = env.request_demo()
+                agent.learn(DemoReceived(env.state, demo))
+                env.step(demo.sai)
+            else:
+                reward, _ = env.step(prop.sai)
+                agent.learn(
+                    AttemptResult(
+                        env.state, prop.sai, reward, prop.skill, prop.binding, prop.fv
+                    )
+                )
+
+
+def test_each_dipl_skill_has_its_own_when_part():
+    agent = _dipl_fractions()
+    _train(agent, FractionsEnv(0), 3)
+    whens = [skill.when for skill in agent.skills]
+    assert len(whens) >= 3
+    assert all(isinstance(w, WhenPart) for w in whens)
+    assert len({id(w) for w in whens}) == len(whens)
+    # each was trained on at least its founding demo
+    assert all(w.tree is not None for w in whens)
+
+
 # ---------------------------------------------------------------------------
 # HowLhsAgent
 # ---------------------------------------------------------------------------
+
+
+def test_how_lhs_skills_have_no_when_part():
+    agent = HowLhsAgent(FRACTIONS_FUNCS, [EQUALS])
+    _train(agent, FractionsEnv(0), 3)
+    assert len(agent.skills) >= 3
+    assert all(skill.when is None for skill in agent.skills)
 
 
 def test_how_lhs_demo_then_predict():
@@ -181,6 +219,33 @@ def test_how_lhs_wrong_attempt_triggers_demo():
         AttemptResult(env.state, prop.sai, -1, prop.skill, prop.binding, prop.fv)
     )
     assert agent.act(env.state) is DEMO_REQUEST
+
+
+def _fit_rows(monkeypatch, name, rows_of):
+    """Row counts seen by each call of classifiers.<name>."""
+    seen = []
+    fit = getattr(classifiers, name)
+
+    def spy(data, *rest):
+        seen.append(rows_of(data))
+        return fit(data, *rest)
+
+    monkeypatch.setattr(classifiers, name, spy)
+    return seen
+
+
+def test_retrain_every_fits_first_then_every_kth_row(monkeypatch):
+    seen = _fit_rows(monkeypatch, "fit_encoded", lambda enc: len(enc.rows))
+    agent = HowLhsAgent(MC_ADDITION_FUNCS, [], retrain_every=3)
+    _train(agent, McAdditionEnv(0), 4)
+    assert len(seen) > 3
+    assert seen == list(range(1, len(agent.encoder.rows) + 1, 3))
+
+    seen = _fit_rows(monkeypatch, "dt_fit_binary", lambda X: X.shape[0])
+    agent = DtDemosAgent(mc_action_space(), mc_addition_schema(), retrain_every=4)
+    _train(agent, McAdditionEnv(0), 4)
+    assert len(seen) > 3
+    assert seen == list(range(1, len(agent.rows) + 1, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,21 @@ def test_ablation_rejects_suite_typo(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_ablation_validates_every_run_before_the_first(tmp_path):
+    # a bad setting in a later cell used to surface only after earlier
+    # cells had written their CSVs
+    suite = {
+        "domains": ["mc-addition"],
+        "agents": ["dipl", "how-lhs"],
+        "seeds": [0],
+        "problems": {"mc-addition/how-lhs": 0, "default": 3},
+    }
+    with pytest.raises(ValueError, match="problems"):
+        run_ablation(suite, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize("key", ["domains", "agents", "seeds"])
 def test_ablation_rejects_empty_lists(tmp_path, key):
     suite = {"domains": ["mc-addition"], "agents": ["dipl"], "seeds": [0], "problems": 5}

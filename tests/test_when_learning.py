@@ -7,10 +7,8 @@ from dipl.core import SAI, UPDATE_FIELD
 from dipl.env_fractions import FractionProblem, FractionsEnv
 from dipl.env_mc_addition import McAdditionEnv
 from dipl.when_learning import (
-    ABSOLUTE,
     EQUALS,
     MAX_PATH_STEPS,
-    RELATIVE,
     WhenPart,
     absolute_featurize,
     adjacency_graph,
@@ -222,18 +220,13 @@ def test_serialize_features_sorted_lines():
 
 
 def test_untrained_when_part_fires_optimistically():
-    wp = WhenPart(RELATIVE)
+    wp = WhenPart()
     assert wp.predict({"Sel.filled": "F"}) == (True, 0.5)
 
 
 def test_when_part_learns_fire_dont_fire():
-    wp = WhenPart(RELATIVE)
+    wp = WhenPart()
     wp.add({"Sel.filled": "F"}, "pos")
     wp.add({"Sel.filled": "T"}, "neg")
     assert wp.predict({"Sel.filled": "F"}) == (True, 1.0)
     assert wp.predict({"Sel.filled": "T"}) == (False, 1.0)
-
-
-def test_when_part_modes_recorded():
-    assert WhenPart(ABSOLUTE).mode == ABSOLUTE
-    assert WhenPart().mode == RELATIVE
