@@ -19,6 +19,7 @@ skills have none.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,17 +87,24 @@ class DiplAgent:
         self.skills: list[Skill] = []
         self._rejected: set[tuple[int, Binding]] = set()
         self._nav = None
+        self._layout: tuple | None = None  # relations the nav was built from
+        self._relations = None  # the last relations object checked against it
         self._path_cache: dict[tuple, dict] = {}
         self._abs_fv = None
 
-    # -- featurization with path caching (layouts are static per domain) --
+    # -- featurization with path caching (one layout per agent) --
     def _featurize(self, state: TutorState, binding: Binding):
         if not self.relative:
             if self._abs_fv is None:
                 self._abs_fv = absolute_featurize(state, self.feature_funcs)
             return self._abs_fv
-        if self._nav is None:
-            self._nav = adjacency_graph(state)
+        if state.relations is not self._relations:
+            if self._nav is None:
+                self._nav = adjacency_graph(state)
+                self._layout = tuple(state.relations)
+            elif tuple(state.relations) != self._layout:
+                raise ValueError("DiplAgent's relative features need one layout; got another")
+            self._relations = state.relations
         key = (binding.selection, binding.args)
         paths = self._path_cache.get(key)
         if paths is None:
@@ -258,13 +266,6 @@ class OneHotSchema:
         return sorted(slots)
 
 
-def one_hot_encode(state: TutorState, schema: OneHotSchema) -> list[int]:
-    vec = [0] * schema.size
-    for i in schema.on_slots(state):
-        vec[i] = 1
-    return vec
-
-
 def fractions_schema() -> OneHotSchema:
     triples = []
     for eid in ("n1", "d1", "n2", "d2"):
@@ -353,17 +354,9 @@ class DtDemosAgent:
         # fit on the first example, then on every retrain_every-th
         if (len(self.rows) - 1) % self.retrain_every:
             return
-        import scipy.sparse as sp
-
-        indptr = [0]
-        indices = []
-        for row in self.rows:
-            indices.extend(row)
-            indptr.append(len(indices))
-        X = sp.csr_matrix(
-            (np.ones(len(indices), dtype=np.int8), indices, indptr),
-            shape=(len(self.rows), self.schema.size),
-        )
+        indptr = np.cumsum([0] + [len(row) for row in self.rows])
+        indices = np.fromiter(itertools.chain.from_iterable(self.rows), np.int32, indptr[-1])
+        X = classifiers.CsrRows(indptr, indices, (len(self.rows), self.schema.size))
         self.tree = classifiers.dt_fit_binary(X, self.labels, self.schema.feature_names)
 
     def learn(self, event):

@@ -13,7 +13,7 @@ a node from one count table of (feature, value) columns by labels, and
 gets each feature's missing branch as the parent count minus its valued
 branches.  Two entry points feed it:
   * fit_encoded   - categorical rows from an `Encoder` (`dt_fit` wraps it)
-  * dt_fit_binary - all-binary features as a scipy CSR matrix, children
+  * dt_fit_binary - all-binary CSR rows (`CsrRows` or a CSR matrix), children
                     keyed "0"/"1" ("0" is the missing branch); CSR because a
                     one-hot state is a few "on" slots out of thousands
 """
@@ -21,6 +21,7 @@ branches.  Two entry points feed it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -292,8 +293,18 @@ def dt_fit(dataset: list[tuple[FeatureVector, str]]) -> DecisionTree:
     return fit_encoded(enc)
 
 
+class CsrRows(NamedTuple):
+    """Binary rows in CSR form: row i is "1" at columns
+    indices[indptr[i]:indptr[i + 1]] and "0" elsewhere."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple[int, int]
+
+
 def dt_fit_binary(X_csr, y_labels: list[str], feature_names: list[str]) -> DecisionTree:
-    """Fit on an all-binary CSR matrix; children are keyed "0"/"1"."""
+    """Fit on CSR rows (`CsrRows` or a sparse CSR matrix) whose every
+    stored entry is a 1; children are keyed "0"/"1"."""
     n = X_csr.shape[0]
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
@@ -301,8 +312,7 @@ def dt_fit_binary(X_csr, y_labels: list[str], feature_names: list[str]) -> Decis
     order = sorted(range(len(feature_names)), key=feature_names.__getitem__)
     rank = np.argsort(order)
     # a column for each feature that is ever "1"; "0" is the missing branch
-    on = X_csr.data != 0
-    used, ecol = np.unique(rank[X_csr.indices[on]], return_inverse=True)
+    used, ecol = np.unique(rank[X_csr.indices], return_inverse=True)
     t = _Columns(
         y,
         label_names,
@@ -310,7 +320,7 @@ def dt_fit_binary(X_csr, y_labels: list[str], feature_names: list[str]) -> Decis
         used,
         ["1"] * len(used),
         "0",
-        np.repeat(np.arange(n, dtype=np.int32), np.diff(X_csr.indptr))[on],
+        np.repeat(np.arange(n, dtype=np.int32), np.diff(X_csr.indptr)),
         ecol.astype(np.int32),
     )
     return DecisionTree(_grow(t, 0, n, 0, len(t.ecol)))

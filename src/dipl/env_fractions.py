@@ -3,7 +3,8 @@
 Three problem types: add with equal denominators, add with unequal
 denominators (which must be converted first), and multiply.  Unequal-
 denominator problems require an "x" in the check_convert field, then the
-four conversion fields, then the answer.
+four conversion fields, then the answer.  Demos are not
+argument-annotated.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ PTYPES = (ADD_SAME, ADD_DIFF, MULTIPLY)
 
 MIN_OPERAND = 2
 MAX_OPERAND = 10
-
-# check_convert accepts only "x"; modelled as a text field
-CHECKBOX_AS_FIELD = TEXT_FIELD
 
 NUMBER_FIELDS = (
     "conv_num1",
@@ -62,7 +60,8 @@ def _build_state(problem: FractionProblem) -> TutorState:
         InterfaceElement("op", TEXT_FIELD, p.op, True, 0, 1),
         InterfaceElement("n2", TEXT_FIELD, str(p.n2), True, 0, 2),
         InterfaceElement("d2", TEXT_FIELD, str(p.d2), True, 1, 2),
-        InterfaceElement("check_convert", CHECKBOX_AS_FIELD, "", False, 0, 3),
+        # check_convert accepts only "x"; modelled as a text field
+        InterfaceElement("check_convert", TEXT_FIELD, "", False, 0, 3),
         InterfaceElement("conv_num1", TEXT_FIELD, "", False, 0, 4),
         InterfaceElement("conv_den1", TEXT_FIELD, "", False, 1, 4),
         InterfaceElement("conv_num2", TEXT_FIELD, "", False, 0, 5),
@@ -164,14 +163,6 @@ class FractionsEnv(TutorEnvironment):
             open_fields.sort(key=order.index)
             return [SAI(f, UPDATE_FIELD, values[f]) for f in open_fields]
         return [SAI("done", PRESS_BUTTON, "")]
-
-    def _demo_args(self, sai: SAI) -> list[str] | None:
-        return None  # fractions demos are not argument-annotated
-
-
-def fractions_new_problem(rng_seed: int) -> tuple[FractionProblem, TutorState]:
-    env = FractionsEnv(rng_seed)
-    return env.new_problem()
 
 
 def fractions_action_space() -> list[SAI]:

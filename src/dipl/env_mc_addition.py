@@ -193,11 +193,6 @@ class McAdditionEnv(TutorEnvironment):
         return int("".join(d if d else "0" for d in digits))
 
 
-def mc_new_problem(rng_seed: int) -> tuple[AdditionProblem, TutorState]:
-    env = McAdditionEnv(rng_seed)
-    return env.new_problem()
-
-
 def mc_action_space() -> list[SAI]:
     """Fixed enumerated action space: 7 fields x digits 0-9, plus done."""
     actions = [

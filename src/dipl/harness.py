@@ -209,7 +209,9 @@ def run_ablation(suite: dict, out_dir) -> dict:
     window/threshold/implicit_negatives/retrain_every (scalars or
     per-"domain/agent" dicts).  Aborted runs become marked cells.  Unknown
     keys, empty or missing lists and invalid run settings raise ValueError
-    before anything is written.
+    before anything is written.  A cell's "median" is None (null) when a
+    middle run never mastered: such runs rank last, "n_no_mastery" counts
+    them, and "q1"/"q3" are None if there are any.
     """
     unknown = sorted(set(suite) - set(SUITE_LISTS) - set(SUITE_SETTINGS))
     if unknown:

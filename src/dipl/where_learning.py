@@ -90,12 +90,16 @@ class Skill:
 
 def _offset_pattern(state: TutorState, binding: Binding):
     """Multiset of arg (type, row/col offset from selection); used for the
-    structure-similarity score."""
-    sel = state.element(binding.selection)
-    items = []
-    for a in binding.args:
-        e = state.element(a)
-        items.append((e.elem_type, e.row - sel.row, e.col - sel.col))
+    structure-similarity score.  None when the state lacks one of the
+    binding's elements, so such a binding matches no pattern."""
+    try:
+        sel = state.element(binding.selection)
+        items = []
+        for a in binding.args:
+            e = state.element(a)
+            items.append((e.elem_type, e.row - sel.row, e.col - sel.col))
+    except KeyError:
+        return None
     return Counter(items)
 
 

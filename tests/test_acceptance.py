@@ -16,7 +16,6 @@ import test_how_learning as how_oracle
 import test_when_learning as when_oracle
 
 from dipl.cli import main as cli_main
-from dipl.core import PRESS_BUTTON
 from dipl.env_fractions import FractionProblem, FractionsEnv
 from dipl.env_mc_addition import McAdditionEnv
 from dipl.harness import RunConfig, mastery_intercept, run_training

@@ -1,6 +1,8 @@
 """Agents: one-hot schemas, skill lifecycle, action selection, baselines."""
 
-from dipl import classifiers
+import pytest
+
+from dipl import agents, classifiers
 from dipl.agents import (
     AttemptResult,
     DEMO_REQUEST,
@@ -11,7 +13,6 @@ from dipl.agents import (
     Proposal,
     fractions_schema,
     mc_addition_schema,
-    one_hot_encode,
 )
 from dipl.core import SAI, UPDATE_FIELD
 from dipl.env_fractions import FractionProblem, FractionsEnv, fractions_action_space
@@ -45,9 +46,7 @@ def test_mc_on_slots_fresh_problem():
     on = schema.on_slots(env.state)
     # six given digits, value + filled each
     assert len(on) == 12
-    vec = one_hot_encode(env.state, schema)
-    assert sum(vec) == 12 and len(vec) == 240
-    assert all(vec[i] == 1 for i in on)
+    assert len(set(on)) == 12 and all(0 <= i < schema.size for i in on)
 
 
 def test_on_slots_tracks_updates_and_done():
@@ -179,6 +178,25 @@ def test_each_dipl_skill_has_its_own_when_part():
     assert len({id(w) for w in whens}) == len(whens)
     # each was trained on at least its founding demo
     assert all(w.tree is not None for w in whens)
+
+
+def test_dipl_agent_rejects_a_second_layout(monkeypatch):
+    graphs = []
+    adjacency_graph = agents.adjacency_graph
+    monkeypatch.setattr(
+        agents, "adjacency_graph", lambda state: graphs.append(state) or adjacency_graph(state)
+    )
+    agent = _dipl_fractions()
+    env = FractionsEnv(0)
+    # each problem brings a new relations list with the same layout
+    _train(agent, env, 2)
+    assert len(graphs) == 1
+    env.new_problem()
+    agent.start_problem()
+    env.state.relations = env.state.relations[:-2]
+    with pytest.raises(ValueError, match="layout"):
+        agent.learn(DemoReceived(env.state, env.request_demo()))
+    assert len(graphs) == 1
 
 
 # ---------------------------------------------------------------------------

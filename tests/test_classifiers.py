@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from dipl.classifiers import Encoder, dt_fit, dt_fit_binary, fit_encoded
+from dipl.classifiers import CsrRows, Encoder, dt_fit, dt_fit_binary, fit_encoded
 from reference_trees import ref_dt_fit_binary, ref_fit_encoded
 
 
@@ -120,6 +120,8 @@ def test_binary_and_dense_paths_agree():
     t_sparse = dt_fit_binary(X, labels, names)
     assert _render(t_sparse.root) == _render(ref_dt_fit_binary(X, labels, names).root)
     assert _render(t_dense.root) == _render(t_sparse.root)
+    t_rows = dt_fit_binary(CsrRows(X.indptr, X.indices, X.shape), labels, names)
+    assert _render(t_rows.root) == _render(t_sparse.root)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,8 @@ def test_dt_fit_binary_matches_reference(data):
     X, labels, names = data
     new, ref = dt_fit_binary(X, labels, names), ref_dt_fit_binary(X, labels, names)
     assert _render(new.root) == _render(ref.root)
+    rows = dt_fit_binary(CsrRows(X.indptr, X.indices, X.shape), labels, names)
+    assert _render(rows.root) == _render(new.root)
 
 
 def test_dense_determinism_bitwise():

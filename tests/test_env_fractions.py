@@ -11,7 +11,6 @@ from dipl.env_fractions import (
     FractionsEnv,
     correct_values,
     fractions_action_space,
-    fractions_new_problem,
 )
 
 
@@ -106,7 +105,7 @@ def test_action_space_size():
 
 
 def test_seeded_reproducibility():
-    p1, s1 = fractions_new_problem(42)
-    p2, s2 = fractions_new_problem(42)
+    p1, s1 = FractionsEnv(42).new_problem()
+    p2, s2 = FractionsEnv(42).new_problem()
     assert p1 == p2
     assert s1.to_text() == s2.to_text()

@@ -1,7 +1,7 @@
 """Multi-column addition tutor: admissibility, locking, demo oracle."""
 
 from dipl.core import PRESS_BUTTON, SAI, UPDATE_FIELD, validate_state
-from dipl.env_mc_addition import McAdditionEnv, mc_action_space, mc_new_problem
+from dipl.env_mc_addition import McAdditionEnv, mc_action_space
 
 
 def _admissible_pairs(env):
@@ -106,6 +106,6 @@ def test_action_space_size():
 
 
 def test_seeded_reproducibility():
-    p1, s1 = mc_new_problem(9)
-    p2, s2 = mc_new_problem(9)
+    p1, s1 = McAdditionEnv(9).new_problem()
+    p2, s2 = McAdditionEnv(9).new_problem()
     assert p1 == p2 and s1.to_text() == s2.to_text()

@@ -1,6 +1,10 @@
 """Harness: error metric, mastery intercept, CSV round-trip, ablation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +252,20 @@ def test_cli_ablate(tmp_path, capsys):
     )
     assert rc == 0
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_dt_demos_run_does_not_import_scipy():
+    """The package needs only numpy: a dt-demos run in a fresh interpreter
+    leaves scipy unimported."""
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src_dir), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; from dipl.harness import RunConfig, run_training; "
+        "run_training(RunConfig('mc-addition', 'dt-demos', problems=5, seed=0)); "
+        "print('scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False"]

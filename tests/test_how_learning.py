@@ -9,12 +9,8 @@ import pytest
 
 from dipl.core import InterfaceElement, TEXT_FIELD, TutorState
 from dipl.how_learning import (
-    ADD,
-    ADD3,
     FRACTIONS_FUNCS,
     MC_ADDITION_FUNCS,
-    MULTIPLY,
-    ONES_DIGIT,
     Composition,
     constant_howpart,
     evaluate,

@@ -14,7 +14,7 @@ from dipl.core import (
     UPDATE_FIELD,
 )
 from dipl.how_learning import FRACTIONS_FUNCS, MC_ADDITION_FUNCS, Composition
-from dipl.where_learning import Binding, Skill, WherePart, match_or_create
+from dipl.where_learning import Binding, Skill, WherePart, _offset_pattern, match_or_create
 
 
 def _state(values, locked=(), rows=None):
@@ -146,6 +146,25 @@ def test_recorded_binding_outscores_pattern_and_fresh():
     )
     assert not created and skill2 is skill
     assert binding2 == binding
+
+
+def test_recorded_binding_on_absent_element_never_matches():
+    """A recorded binding that names an element the state lacks gets no
+    structure score, and the demo is still explained."""
+    skills = []
+    rows = {"n1": (0, 0), "n2": (0, 2), "m1": (1, 0), "m2": (1, 2), "ans": (0, 4)}
+    state1 = _state({"n1": "2", "n2": "3", "ans": ""}, rows=rows)
+    skill, binding, _ = match_or_create(_demo("ans", "5"), state1, skills, FRACTIONS_FUNCS)
+    assert skill.how.render() == "Add(Arg0,Arg1)"
+    assert binding == Binding("ans", ("n1", "n2"))
+    state2 = _state({"m1": "4", "m2": "1", "ans": ""}, rows=rows)
+    assert _offset_pattern(state2, binding) is None
+    skill2, binding2, created = match_or_create(
+        _demo("ans", "5"), state2, skills, FRACTIONS_FUNCS
+    )
+    assert not created and skill2 is skill
+    assert binding2 == Binding("ans", ("m1", "m2"))
+    assert skill.where.bindings == [binding, binding2]
 
 
 def test_annotated_demo_requires_full_annotation_arity():
